@@ -69,7 +69,7 @@
 // flag the invocation actually sets maps to one functional option, and an
 // option set on a role that ignores it is rejected up front ("-role edge
 // -fixed-lag 8" is an error, not a silently dead knob). The same NodeConfig
-// constructors wire cmd/loadgen, cmd/scenario, and examples/distributed.
+// constructors wire cmd/loadgen and cmd/scenario.
 package main
 
 import (

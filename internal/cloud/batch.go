@@ -28,17 +28,8 @@ func (s *Server) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch,
 			return transport.RatioBatch{}, fmt.Errorf("cloud: batch for round %d carries a census for round %d (edge %d)",
 				batch.Round, c.Round, c.Edge)
 		}
-		if c.Edge < 0 || c.Edge >= s.m {
-			return transport.RatioBatch{}, fmt.Errorf("cloud: census from unknown edge %d", c.Edge)
-		}
-		if len(c.Counts) != s.k {
-			s.mu.Lock()
-			s.metrics.decodeFailures.Inc()
-			s.logfLocked("cloud: rejecting batch from shard %d: edge %d sent %d counts (lattice has %d decisions)",
-				batch.Shard, c.Edge, len(c.Counts), s.k)
-			s.mu.Unlock()
-			return transport.RatioBatch{}, fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions",
-				ErrBadCensus, c.Edge, len(c.Counts), s.k)
+		if err := s.admit(c); err != nil {
+			return transport.RatioBatch{}, err
 		}
 	}
 
@@ -95,7 +86,7 @@ func (s *Server) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch,
 			s.metrics.duplicates.Inc()
 		}
 	}
-	if s.quorumMetLocked(rb) {
+	if s.leases.QuorumMet(rb, s.m) {
 		s.completeRoundLocked(batch.Round, rb, rb.Size() < s.m)
 	}
 	s.mu.Unlock()
@@ -109,7 +100,7 @@ func (s *Server) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch,
 		reply := s.ratioBatchLocked(batch)
 		s.mu.Unlock()
 		return reply, nil
-	case <-s.closed:
+	case <-s.acc.Done():
 		return transport.RatioBatch{}, transport.ErrClosed
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -25,9 +24,9 @@ import (
 // the cloud's current round.
 var ErrRoundAbandoned = errors.New("cloud: round abandoned")
 
-// ErrBadCensus is returned by Submit for a census whose shape does not
-// match the configured lattice: its Counts length differs from the number
-// of decisions K, so folding it into the state would silently drop it.
+// ErrBadCensus is returned for a census AdmitCensus rejects: its Counts
+// length differs from the number of decisions K, a count is negative, or
+// the counts' total overflows.
 var ErrBadCensus = errors.New("cloud: malformed census")
 
 // Server is the networked cloud coordinator. Edge servers connect, send one
@@ -48,21 +47,9 @@ type Server struct {
 	logf          func(format string, args ...interface{})
 	obsv          *obs.Observer
 	metrics       serverMetrics
-	conns         map[transport.Conn]struct{}
-	closed        chan struct{}
-	once          sync.Once
-	wg            sync.WaitGroup
-
-	// Durability (nil store = in-memory only; see Open).
-	store        *durable.Store
-	compactEvery int
-	sinceCompact int
-
-	// Membership leases (see RenewLease). leasing stays false until the
-	// first lease is granted, preserving the all-regions barrier for
-	// deployments that never send heartbeats.
-	leases  map[int]*leaseEntry
-	leasing bool
+	acc           *transport.Acceptor
+	journal       *Journal // see Open; detached = in-memory only
+	leases        *Leases  // see RenewLease
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
 	// completed rounds in round order; correctionSeq totally orders the
@@ -156,21 +143,20 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 	}
 	o := obs.New()
 	s := &Server{
-		fold:         fold,
-		eng:          NewEngine(),
-		m:            fold.Regions(),
-		k:            fold.Decisions(),
-		obsv:         o,
-		metrics:      newServerMetrics(o),
-		conns:        make(map[transport.Conn]struct{}),
-		closed:       make(chan struct{}),
-		compactEvery: defaultCompactEvery,
-		leases:       make(map[int]*leaseEntry),
-		maxSkew:      defaultMaxRoundSkew,
-		edgeSess:     make(map[int]*session.Session),
-		digestSeen:   make(map[int]map[int]bool),
-		digestMark:   make(map[int]int),
+		fold:       fold,
+		eng:        NewEngine(),
+		m:          fold.Regions(),
+		k:          fold.Decisions(),
+		obsv:       o,
+		metrics:    newServerMetrics(o),
+		acc:        transport.NewAcceptor(),
+		journal:    NewJournal(),
+		maxSkew:    defaultMaxRoundSkew,
+		edgeSess:   make(map[int]*session.Session),
+		digestSeen: make(map[int]map[int]bool),
+		digestMark: make(map[int]int),
 	}
+	s.leases = NewLeases(&s.mu, s.evictLocked)
 	s.metrics.latestRound.Set(-1)
 	s.metrics.stateHash.Set(float64(s.stateHashLocked()))
 	return s, nil
@@ -247,59 +233,40 @@ func (s *Server) Converged() bool {
 }
 
 // Serve accepts edge-server connections until the listener is torn down or
-// the server closes. Transient accept failures — injected faults and real
-// ones alike — are retried with bounded backoff (see transport.AcceptLoop),
-// so a flaky listener cannot permanently kill the coordinator. Run in a
-// goroutine.
-func (s *Server) Serve(l transport.Listener) {
-	transport.AcceptLoop(l, s.closed, func(conn transport.Conn) {
-		s.mu.Lock()
-		select {
-		case <-s.closed:
-			s.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	})
-}
+// the server closes (see transport.Acceptor). Run in a goroutine.
+func (s *Server) Serve(l transport.Listener) { s.acc.Serve(l, s.handleConn) }
 
 // Close shuts the server down without flushing a final checkpoint — the
-// crash path; see Drain for the graceful one. Pending barriers fail, open
-// connections close, lease timers stop, and the durable store (already
-// fsynced through the last completed round) is released.
+// crash path; see Drain for the graceful one. Served listeners stop,
+// pending barriers fail, lease timers stop, the durable store (already
+// fsynced through the last completed round) is released, and open
+// connections close.
 func (s *Server) Close() {
-	s.once.Do(func() {
-		close(s.closed)
+	s.acc.Close(func() {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		for _, a := range s.eng.FailAll(transport.ErrClosed) {
 			a.Barrier.Span.End(obs.A("closed", true))
 		}
-		for _, e := range s.leases {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
-		}
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.conns = make(map[transport.Conn]struct{})
-		if s.store != nil {
-			_ = s.store.Close()
-		}
-		s.mu.Unlock()
+		s.leases.Stop()
+		s.journal.Close()
 	})
-	s.wg.Wait()
+}
+
+// hasEdge reports whether edge is one of the server's regions.
+func (s *Server) hasEdge(edge int) bool { return edge >= 0 && edge < s.m }
+
+// admit runs AdmitCensus, counting and logging a malformed census as a
+// decode failure.
+func (s *Server) admit(c transport.Census) error {
+	err := AdmitCensus(c, s.k, s.hasEdge)
+	if errors.Is(err, ErrBadCensus) {
+		s.mu.Lock()
+		s.metrics.decodeFailures.Inc()
+		s.logfLocked("cloud: rejecting census: %v", err)
+		s.mu.Unlock()
+	}
+	return err
 }
 
 func (s *Server) handleConn(conn transport.Conn) {
@@ -407,17 +374,8 @@ func (s *Server) handleConn(conn transport.Conn) {
 // without blocking. It is the transport-independent core of the
 // coordinator (the in-process simulator calls it directly).
 func (s *Server) Submit(census transport.Census) (float64, error) {
-	if census.Edge < 0 || census.Edge >= s.m {
-		return 0, fmt.Errorf("cloud: census from unknown edge %d", census.Edge)
-	}
-	if len(census.Counts) != s.k {
-		s.mu.Lock()
-		s.metrics.decodeFailures.Inc()
-		s.logfLocked("cloud: rejecting census from edge %d with %d counts (lattice has %d decisions)",
-			census.Edge, len(census.Counts), s.k)
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions",
-			ErrBadCensus, census.Edge, len(census.Counts), s.k)
+	if err := s.admit(census); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	if census.Round <= s.eng.Latest() {
@@ -464,7 +422,7 @@ func (s *Server) Submit(census transport.Census) (float64, error) {
 		// for; last write wins under the one barrier lock.
 		s.metrics.duplicates.Inc()
 	}
-	if s.quorumMetLocked(rb) {
+	if s.leases.QuorumMet(rb, s.m) {
 		s.completeRoundLocked(census.Round, rb, rb.Size() < s.m)
 	}
 	s.mu.Unlock()
@@ -478,7 +436,7 @@ func (s *Server) Submit(census transport.Census) (float64, error) {
 		x := s.fold.X(census.Edge)
 		s.mu.Unlock()
 		return x, nil
-	case <-s.closed:
+	case <-s.acc.Done():
 		return 0, transport.ErrClosed
 	}
 }

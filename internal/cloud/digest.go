@@ -38,12 +38,8 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		}
 		last = dr.Round
 		for _, c := range dr.Censuses {
-			if c.Edge < 0 || c.Edge >= s.m {
-				return transport.RatioBatch{}, fmt.Errorf("cloud: digest census from unknown edge %d", c.Edge)
-			}
-			if len(c.Counts) != s.k {
-				return transport.RatioBatch{}, fmt.Errorf("%w: digest edge %d sent %d counts, lattice has %d decisions",
-					ErrBadCensus, c.Edge, len(c.Counts), s.k)
+			if err := s.admit(c); err != nil {
+				return transport.RatioBatch{}, err
 			}
 		}
 	}

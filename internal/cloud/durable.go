@@ -6,17 +6,13 @@ import (
 	"repro/internal/durable"
 )
 
-// defaultCompactEvery is how many journaled rounds accumulate before the
-// journal is folded into a fresh checkpoint.
-const defaultCompactEvery = 32
-
 // SetCompactEvery tunes how many journaled rounds trigger a snapshot
 // compaction (default 32; 0 or negative disables compaction, the journal
 // then grows until Drain).
 func (s *Server) SetCompactEvery(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.compactEvery = n
+	s.journal.every = n
 }
 
 // Open attaches a durable state directory to the server and recovers any
@@ -28,58 +24,28 @@ func (s *Server) SetCompactEvery(n int) {
 // Call after Instrument and before Serve; recovery is visible as
 // durable_recoveries_total and journal_replay_records_total.
 func (s *Server) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		store.Close()
-		return fmt.Errorf("cloud: state directory already open (%s)", s.store.Dir())
-	}
-	recovered := false
-	snap, ok, err := store.LoadSnapshot()
+	snap, err := s.journal.Open(stateDir)
 	if err != nil {
-		store.Close()
-		return err
+		return fmt.Errorf("cloud: %w", err)
 	}
-	if ok {
-		cp, err := durable.DecodeCheckpoint(snap)
+	recovered := snap != nil
+	if snap != nil {
+		cp, err := s.fold.Restore(snap)
 		if err != nil {
-			store.Close()
-			return err
+			s.journal.Close()
+			return fmt.Errorf("cloud: checkpoint in %s: %w", stateDir, err)
 		}
-		cpK := 0
-		if len(cp.State.P) > 0 {
-			cpK = len(cp.State.P[0])
-		}
-		if len(cp.State.P) != s.m || cpK != s.k {
-			store.Close()
-			return fmt.Errorf("cloud: checkpoint in %s has %dx%d state, server configured for %dx%d",
-				stateDir, len(cp.State.P), cpK, s.m, s.k)
-		}
-		if len(cp.FDS.LastShortfall) > 0 {
-			if err := s.fold.SetMemory(cp.FDS); err != nil {
-				store.Close()
-				return fmt.Errorf("cloud: checkpoint in %s: %w", stateDir, err)
-			}
-		}
-		s.fold.SetState(cp.State)
 		s.eng.SetLatest(cp.Round)
 		s.correctionSeq = cp.CorrectionSeq
 		for h, mark := range cp.DigestWatermarks {
 			s.digestMark[h] = mark
 		}
 		s.metrics.checkpointSize.Set(float64(len(snap)))
-		recovered = true
 	}
 	replayed := 0
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
+	err = s.journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Corrected {
 			// A fixed-lag rewind re-journaled this round with a late census
 			// merged in: supersede the earlier fold and re-propagate, so the
@@ -119,7 +85,7 @@ func (s *Server) Open(stateDir string) error {
 		return nil
 	})
 	if err != nil {
-		store.Close()
+		s.journal.Close()
 		return fmt.Errorf("cloud: journal in %s: %w", stateDir, err)
 	}
 	if replayed > 0 {
@@ -133,8 +99,6 @@ func (s *Server) Open(stateDir string) error {
 		s.logfLocked("cloud: recovered state through round %d from %s (%d journal records replayed)",
 			s.eng.Latest(), stateDir, replayed)
 	}
-	s.store = store
-	s.sinceCompact = replayed
 	return nil
 }
 
@@ -145,20 +109,12 @@ func (s *Server) Open(stateDir string) error {
 // not fail the round: the coordinator keeps serving from memory. Called
 // with s.mu held; no-op without an open store.
 func (s *Server) persistRoundLocked(round int, rb *Barrier, degraded bool) {
-	if s.store == nil {
-		return
-	}
-	payload, err := durable.EncodeRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
-	if err == nil {
-		err = s.store.Append(payload)
-	}
-	if err != nil {
+	if err := s.journal.Append(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}); err != nil {
 		s.metrics.journalErrors.Inc()
 		s.logfLocked("cloud: journaling round %d: %v", round, err)
 		return
 	}
-	s.sinceCompact++
-	if s.compactEvery > 0 && s.sinceCompact >= s.compactEvery {
+	if s.journal.Due() {
 		if err := s.checkpointLocked(); err != nil {
 			s.metrics.journalErrors.Inc()
 			s.logfLocked("cloud: compacting after round %d: %v", round, err)
@@ -171,19 +127,12 @@ func (s *Server) persistRoundLocked(round int, rb *Barrier, degraded bool) {
 // Failures are counted and logged but do not fail the rewind, matching
 // persistRoundLocked. Called with s.mu held; no-op without an open store.
 func (s *Server) persistCorrectedLocked(e *lagEntry) {
-	if s.store == nil {
-		return
-	}
-	payload, err := durable.EncodeRound(durable.RoundRecord{
+	if err := s.journal.Append(durable.RoundRecord{
 		Round:     e.round,
 		Degraded:  e.degraded,
 		Censuses:  e.censuses,
 		Corrected: true,
-	})
-	if err == nil {
-		err = s.store.Append(payload)
-	}
-	if err != nil {
+	}); err != nil {
 		s.metrics.journalErrors.Inc()
 		s.logfLocked("cloud: journaling corrected round %d: %v", e.round, err)
 	}
@@ -210,39 +159,25 @@ func (s *Server) checkpointLocked() error {
 			cp.DigestWatermarks[h] = mark
 		}
 	}
-	var retained [][]byte
+	var retained []durable.RoundRecord
 	if s.lag > 0 && len(s.window) > 0 {
 		w0 := s.window[0]
 		cp.Round = w0.round - 1
 		cp.State = w0.preState
 		cp.FDS = w0.preFDS
 		for _, e := range s.window {
-			rec, err := durable.EncodeRound(durable.RoundRecord{
-				Round:    e.round,
-				Degraded: e.degraded,
-				Censuses: e.censuses,
-			})
-			if err != nil {
-				return err
-			}
-			retained = append(retained, rec)
+			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses})
 		}
 	}
 	payload, err := durable.EncodeCheckpoint(cp)
 	if err != nil {
 		return err
 	}
-	var n int
-	if retained == nil {
-		n, err = s.store.Compact(payload)
-	} else {
-		n, err = s.store.CompactRetain(payload, retained)
-	}
+	n, err := s.journal.Compact(payload, retained)
 	if err != nil {
 		return err
 	}
 	s.metrics.checkpointSize.Set(float64(n))
-	s.sinceCompact = 0
 	return nil
 }
 
@@ -258,7 +193,7 @@ func (s *Server) Drain() error {
 		s.logfLocked("cloud: draining: completing round %d with %d/%d regions", best, rb.Size(), s.m)
 		s.completeRoundLocked(best, rb, rb.Size() < s.m)
 	}
-	if s.store != nil {
+	if s.journal.Attached() {
 		err = s.checkpointLocked()
 	}
 	s.mu.Unlock()

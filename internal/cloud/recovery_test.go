@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -318,14 +319,19 @@ func TestSubmitRejectsMalformedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, counts := range [][]int{nil, make([]int, 3), make([]int, 9)} {
+	malformed := [][]int{
+		nil, make([]int, 3), make([]int, 9),
+		{100, -99, 0, 0, 0, 0, 0, 0},       // off the probability simplex
+		{math.MaxInt, 1, 0, 0, 0, 0, 0, 0}, // total overflows int
+	}
+	for _, counts := range malformed {
 		_, err := srv.Submit(transport.Census{Edge: 0, Round: 0, Counts: counts})
 		if !errors.Is(err, ErrBadCensus) {
-			t.Fatalf("Submit with %d counts = %v, want ErrBadCensus", len(counts), err)
+			t.Fatalf("Submit with counts %v = %v, want ErrBadCensus", counts, err)
 		}
 	}
-	if got := srvCounter(srv, "consensus_decode_failures_total"); got != 3 {
-		t.Fatalf("consensus_decode_failures_total = %d, want 3", got)
+	if got := srvCounter(srv, "consensus_decode_failures_total"); got != len(malformed) {
+		t.Fatalf("consensus_decode_failures_total = %d, want %d", got, len(malformed))
 	}
 	// Unknown edges still fail with the unknown-edge error, not ErrBadCensus.
 	if _, err := srv.Submit(transport.Census{Edge: 5, Round: 0}); errors.Is(err, ErrBadCensus) || err == nil {

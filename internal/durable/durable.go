@@ -72,7 +72,7 @@ type Store struct {
 	//
 	// A failed fsync poisons the journal (flushErr): every Append batched
 	// under the failed commit AND every later Append reports the failure,
-	// until a Compact/CompactRetain rebuilds the journal file. The blanket
+	// until a Compact rebuilds the journal file. The blanket
 	// rule is not conservatism: after a failed fsync the kernel may mark the
 	// dirty pages clean without writing them, so a later successful fsync
 	// covering later frames would leave a corrupt middle that replay
@@ -333,48 +333,22 @@ func (s *Store) drainLocked() {
 	}
 }
 
-// Compact atomically replaces the checkpoint with the given payload and
-// then truncates the journal. The snapshot is made durable before the
-// truncate, so a crash between the two steps loses nothing: the journal
-// still holds records the new checkpoint already covers, and the replayer
-// skips them by round number. Returns the checkpoint size in bytes.
-func (s *Store) Compact(payload []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
-		return 0, ErrStoreClosed
-	}
-	s.drainLocked()
-	n, err := s.writeSnapshotLocked(payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.journal.Truncate(0); err != nil {
-		return n, fmt.Errorf("durable: truncate journal: %w", err)
-	}
-	if err := s.journal.Sync(); err != nil {
-		return n, fmt.Errorf("durable: sync journal: %w", err)
-	}
-	s.size = 0
-	// The checkpoint now covers everything and the journal is verifiably
-	// empty, so an earlier fsync failure no longer shadows any record.
-	s.flushErr = nil
-	return n, nil
-}
-
-// CompactRetain atomically replaces the checkpoint with payload and
-// replaces the journal's contents with the given records (instead of
-// truncating it empty, as Compact does). A fixed-lag coordinator checkpoints
-// the state *before* its rewind window and must keep the window's round
-// records journaled, or a crash would lose the rounds the checkpoint does
-// not cover.
+// Compact atomically replaces the checkpoint with payload and then rewrites
+// the journal to hold exactly the retained records, returning the
+// checkpoint size in bytes. The snapshot is made durable first, so a crash
+// between the two steps loses nothing: the journal still holds records the
+// new checkpoint already covers, and the replayer skips them by round
+// number.
 //
-// The new journal is built in a temp file (write + fsync) and renamed over
-// the old one, so the swap is atomic: a crash before the rename leaves the
-// old journal, whose records the replayer skips by round number or
-// re-applies idempotently; a crash after it leaves exactly the retained
-// records. Returns the checkpoint size in bytes.
-func (s *Store) CompactRetain(payload []byte, records [][]byte) (int, error) {
+// With no retained records the journal is truncated in place. Otherwise
+// (a fixed-lag coordinator checkpoints the state *before* its rewind window
+// and must keep the window's round records journaled) the new journal is
+// built in a temp file (write + fsync) and renamed over the old one, so the
+// swap is atomic: a crash before the rename leaves the old journal, whose
+// records the replayer skips or re-applies idempotently; a crash after it
+// leaves exactly the retained records. Either way the rebuilt journal lifts
+// any fsync-failure poison, since every record it holds is durable.
+func (s *Store) Compact(payload []byte, retained ...[]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
@@ -386,40 +360,45 @@ func (s *Store) CompactRetain(payload []byte, records [][]byte) (int, error) {
 		return 0, err
 	}
 	var frames []byte
-	for _, rec := range records {
+	for _, rec := range retained {
 		if len(rec) > MaxRecordBytes {
 			return n, fmt.Errorf("durable: retained record of %d bytes exceeds limit %d", len(rec), MaxRecordBytes)
 		}
 		frames = appendFrame(frames, rec)
 	}
-	tmp := filepath.Join(s.dir, journalName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return n, fmt.Errorf("durable: create journal tmp: %w", err)
-	}
-	if len(frames) > 0 {
+	if len(frames) == 0 {
+		if err := s.journal.Truncate(0); err != nil {
+			return n, fmt.Errorf("durable: truncate journal: %w", err)
+		}
+		if err := s.journal.Sync(); err != nil {
+			return n, fmt.Errorf("durable: sync journal: %w", err)
+		}
+	} else {
+		tmp := filepath.Join(s.dir, journalName+".tmp")
+		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+		if err != nil {
+			return n, fmt.Errorf("durable: create journal tmp: %w", err)
+		}
 		if _, err := f.Write(frames); err != nil {
 			f.Close()
 			return n, fmt.Errorf("durable: write retained journal: %w", err)
 		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return n, fmt.Errorf("durable: sync retained journal: %w", err)
+		}
+		if err := os.Rename(tmp, filepath.Join(s.dir, journalName)); err != nil {
+			f.Close()
+			return n, fmt.Errorf("durable: rename journal: %w", err)
+		}
+		if err := syncDir(s.dir); err != nil {
+			f.Close()
+			return n, err
+		}
+		// The old handle points at the unlinked file; swap in the new one.
+		_ = s.journal.Close()
+		s.journal = f
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return n, fmt.Errorf("durable: sync retained journal: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, journalName)); err != nil {
-		f.Close()
-		return n, fmt.Errorf("durable: rename journal: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return n, err
-	}
-	// The old handle points at the unlinked file; swap in the new one. A
-	// freshly written and fsynced journal also lifts any fsync-failure
-	// poison: every retained record is durable in the new file.
-	_ = s.journal.Close()
-	s.journal = f
 	s.size = int64(len(frames))
 	s.flushErr = nil
 	return n, nil

@@ -185,10 +185,10 @@ func TestCompactTruncatesJournal(t *testing.T) {
 	}
 }
 
-// CompactRetain swaps the journal for the retained window records
+// Compact with retained records swaps the journal for the window records
 // atomically; the new journal must replay exactly those records, appends
 // must continue after them, and a reopen must see the same contents.
-func TestCompactRetainKeepsWindowRecords(t *testing.T) {
+func TestCompactKeepsRetainedWindowRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -200,8 +200,8 @@ func TestCompactRetainKeepsWindowRecords(t *testing.T) {
 		}
 	}
 	retained := [][]byte{[]byte("win-a"), []byte("win-b")}
-	if _, err := s.CompactRetain([]byte("pre-window state"), retained); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	if _, err := s.Compact([]byte("pre-window state"), retained...); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	snap, ok, err := s.LoadSnapshot()
 	if err != nil || !ok || string(snap) != "pre-window state" {
@@ -213,7 +213,7 @@ func TestCompactRetainKeepsWindowRecords(t *testing.T) {
 	}
 	// Appends continue on the swapped-in journal file.
 	if err := s.Append([]byte("after")); err != nil {
-		t.Fatalf("Append after CompactRetain: %v", err)
+		t.Fatalf("Append after retaining Compact: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -227,9 +227,9 @@ func TestCompactRetainKeepsWindowRecords(t *testing.T) {
 	if len(got) != 3 || string(got[2]) != "after" {
 		t.Fatalf("after reopen, replayed %q", got)
 	}
-	// Retaining nothing degenerates to Compact.
-	if _, err := s2.CompactRetain([]byte("s2"), nil); err != nil {
-		t.Fatalf("CompactRetain(nil): %v", err)
+	// Retaining nothing truncates the journal in place.
+	if _, err := s2.Compact([]byte("s2")); err != nil {
+		t.Fatalf("Compact without retained records: %v", err)
 	}
 	if s2.JournalSize() != 0 {
 		t.Fatalf("journal size = %d, want 0", s2.JournalSize())

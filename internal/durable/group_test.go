@@ -87,10 +87,10 @@ func TestGroupCommitSyncFailureFailsEveryWaiter(t *testing.T) {
 		t.Fatal("Append succeeded on a poisoned journal")
 	}
 
-	// CompactRetain rebuilds the journal file from scratch (write + fsync +
+	// A retaining Compact rebuilds the journal file from scratch (write + fsync +
 	// rename), which is the one legitimate cure.
-	if _, err := s.CompactRetain([]byte("snap"), [][]byte{[]byte("kept")}); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	if _, err := s.Compact([]byte("snap"), []byte("kept")); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	if err := s.Append([]byte("after-compact")); err != nil {
 		t.Fatalf("Append after compaction: %v", err)
@@ -240,7 +240,7 @@ func TestGroupCommitWindowFlushesLoneAppend(t *testing.T) {
 // Compaction must drain pending group records before swapping the journal,
 // so a checkpoint+retain cycle under group commit never strands an
 // un-synced append.
-func TestGroupCommitCompactRetainDrains(t *testing.T) {
+func TestGroupCommitCompactDrains(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -252,8 +252,8 @@ func TestGroupCommitCompactRetainDrains(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if _, err := s.CompactRetain([]byte("snap"), [][]byte{[]byte("kept")}); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	if _, err := s.Compact([]byte("snap"), []byte("kept")); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	if err := s.Append([]byte("after")); err != nil {
 		t.Fatalf("Append after compact: %v", err)

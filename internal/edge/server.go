@@ -23,13 +23,11 @@ type Server struct {
 
 	dist *Distributor
 
+	acc      *transport.Acceptor
 	mu       sync.Mutex
-	conns    map[int]transport.Conn
-	shares   []float64 // last round's decision distribution
+	conns    map[int]transport.Conn // registered vehicles
+	shares   []float64              // last round's decision distribution
 	uploaded chan struct{}
-	closed   chan struct{}
-	once     sync.Once
-	wg       sync.WaitGroup
 
 	obsv    *obs.Observer
 	metrics edgeMetrics
@@ -64,10 +62,10 @@ func NewServer(id int, lat *lattice.Lattice, seed int64) *Server {
 	return &Server{
 		ID:       id,
 		dist:     NewDistributor(lat, seed),
+		acc:      transport.NewAcceptor(),
 		conns:    make(map[int]transport.Conn),
 		shares:   shares,
 		uploaded: make(chan struct{}, 1024),
-		closed:   make(chan struct{}),
 		obsv:     o,
 		metrics:  newEdgeMetrics(o),
 	}
@@ -85,30 +83,12 @@ func (s *Server) Instrument(o *obs.Observer) {
 }
 
 // Serve accepts vehicle connections until the listener is torn down or the
-// server closes. Transient accept failures — injected faults and real ones
-// alike — are retried with bounded backoff (see transport.AcceptLoop). It
-// blocks; run it in a goroutine.
-func (s *Server) Serve(l transport.Listener) {
-	transport.AcceptLoop(l, s.closed, func(conn transport.Conn) {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	})
-}
+// server closes (see transport.Acceptor). It blocks; run it in a goroutine.
+func (s *Server) Serve(l transport.Listener) { s.acc.Serve(l, s.handleConn) }
 
-// Close terminates the server: vehicle connections are closed and Serve
-// goroutines drain.
-func (s *Server) Close() {
-	s.once.Do(func() { close(s.closed) })
-	s.mu.Lock()
-	for _, c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// Close terminates the server: served listeners stop, vehicle connections
+// are closed and their handlers drain.
+func (s *Server) Close() { s.acc.Close(func() {}) }
 
 // SetShares seeds the policy broadcast's last-round decision distribution,
 // so a restarted server resumes from the distribution its predecessor
@@ -181,7 +161,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 			if err == nil {
 				select {
 				case s.uploaded <- struct{}{}:
-				case <-s.closed:
+				case <-s.acc.Done():
 					return transport.ErrClosed
 				}
 			}
@@ -244,7 +224,7 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 			// Proceed with whatever arrived.
 			span.Event("upload_deadline", obs.A("uploads", s.dist.NumUploads()), obs.A("vehicles", len(conns)))
 			goto distribute
-		case <-s.closed:
+		case <-s.acc.Done():
 			span.End(obs.A("error", "closed"))
 			return nil, transport.ErrClosed
 		}

@@ -13,59 +13,29 @@ import (
 // rebuilds its unacked backlog from the records above the watermark. Call
 // before Serve; the node resumes at Latest()+1.
 func (n *Node) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.store != nil {
-		store.Close()
-		return fmt.Errorf("gossip: state directory already open (%s)", n.store.Dir())
-	}
-	fromCheckpoint := false
-	snap, ok, err := store.LoadSnapshot()
+	snap, err := n.journal.Open(stateDir)
 	if err != nil {
-		store.Close()
-		return err
+		return fmt.Errorf("gossip: %w", err)
 	}
-	if ok {
-		cp, err := durable.DecodeCheckpoint(snap)
+	fromCheckpoint := snap != nil
+	if snap != nil {
+		cp, err := n.fold.Restore(snap)
 		if err != nil {
-			store.Close()
-			return err
+			n.journal.Close()
+			return fmt.Errorf("gossip: checkpoint in %s: %w", stateDir, err)
 		}
-		cpK := 0
-		if len(cp.State.P) > 0 {
-			cpK = len(cp.State.P[0])
-		}
-		if len(cp.State.P) != n.fold.Regions() || cpK != n.k {
-			store.Close()
-			return fmt.Errorf("gossip: checkpoint in %s has %dx%d state, node configured for %dx%d",
-				stateDir, len(cp.State.P), cpK, n.fold.Regions(), n.k)
-		}
-		if len(cp.FDS.LastShortfall) > 0 {
-			if err := n.fold.SetMemory(cp.FDS); err != nil {
-				store.Close()
-				return fmt.Errorf("gossip: checkpoint in %s: %w", stateDir, err)
-			}
-		}
-		n.fold.SetState(cp.State)
 		n.eng.SetLatest(cp.Round)
 		n.escalated = cp.Escalated
 		if n.failover {
 			n.epoch = cp.Epoch
 			n.leader = n.leaderAt(n.epoch) == n.cfg.Edge
 		}
-		fromCheckpoint = true
 	}
 	retain := n.leader || n.failover
 	replayed := 0
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
+	err = n.journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Round <= n.eng.Latest() && fromCheckpoint {
 			// The fold effect is already inside the checkpoint — either a
 			// record a crash between snapshot rename and journal truncate
@@ -90,7 +60,7 @@ func (n *Node) Open(stateDir string) error {
 		return nil
 	})
 	if err != nil {
-		store.Close()
+		n.journal.Close()
 		return fmt.Errorf("gossip: journal in %s: %w", stateDir, err)
 	}
 	if replayed > 0 {
@@ -114,8 +84,6 @@ func (n *Node) Open(stateDir string) error {
 		n.logf("gossip: edge %d: recovered state through round %d from %s (%d journal records replayed, %d pending escalation)",
 			n.cfg.Edge, n.eng.Latest(), stateDir, replayed, len(n.pending))
 	}
-	n.store = store
-	n.sinceComp = replayed
 	return nil
 }
 
@@ -127,20 +95,12 @@ func (n *Node) Open(stateDir string) error {
 // journal doubles as the unacked-digest backlog. Called with n.mu held;
 // no-op without an open store.
 func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
-	if n.store == nil {
-		return
-	}
-	payload, err := durable.EncodeRound(rec)
-	if err == nil {
-		err = n.store.Append(payload)
-	}
-	if err != nil {
+	if err := n.journal.Append(rec); err != nil {
 		n.metrics.journalErrs.Inc()
 		n.logf("gossip: edge %d: journaling round %d: %v", n.cfg.Edge, rec.Round, err)
 		return
 	}
-	n.sinceComp++
-	if !n.leader && n.sinceComp >= defaultCompactEvery {
+	if !n.leader && n.journal.Due() {
 		if err := n.checkpointLocked(); err != nil {
 			n.metrics.journalErrs.Inc()
 			n.logf("gossip: edge %d: compacting after round %d: %v", n.cfg.Edge, rec.Round, err)
@@ -153,33 +113,16 @@ func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
 // restarted leader re-escalates exactly the unacked backlog. Called with
 // n.mu held.
 func (n *Node) checkpointLocked() error {
-	cp := durable.Checkpoint{
+	payload, err := durable.EncodeCheckpoint(durable.Checkpoint{
 		Round:     n.eng.Latest(),
 		State:     n.fold.State(),
 		FDS:       n.fold.Memory(),
 		Escalated: n.escalated,
 		Epoch:     n.epoch,
-	}
-	payload, err := durable.EncodeCheckpoint(cp)
+	})
 	if err != nil {
 		return err
 	}
-	var retained [][]byte
-	for _, rec := range n.pending {
-		b, err := durable.EncodeRound(rec)
-		if err != nil {
-			return err
-		}
-		retained = append(retained, b)
-	}
-	if retained == nil {
-		_, err = n.store.Compact(payload)
-	} else {
-		_, err = n.store.CompactRetain(payload, retained)
-	}
-	if err != nil {
-		return err
-	}
-	n.sinceComp = 0
-	return nil
+	_, err = n.journal.Compact(payload, n.pending)
+	return err
 }

@@ -45,12 +45,6 @@ import (
 // ErrClosed is returned by LocalRound after Close.
 var ErrClosed = errors.New("gossip: node closed")
 
-// defaultCompactEvery matches the cloud coordinator's journal compaction
-// cadence for nodes that are not their neighborhood's leader (the leader
-// compacts on acknowledged escalations instead, since its journal doubles
-// as the escalation backlog).
-const defaultCompactEvery = 32
-
 // Config assembles a Node. Members must include Edge; the member with the
 // smallest id is the neighborhood's leader and the only escalator.
 type Config struct {
@@ -119,18 +113,14 @@ type Node struct {
 	escalated int                   // next round the leader will escalate (rounds below are acked)
 	pending   []durable.RoundRecord // unacked rounds, ascending (every member retains them under failover)
 	peers     map[int]*peerLink
-	store     *durable.Store
-	sinceComp int
-	cloudX    float64 // latest cloud-published ratio for Edge (observability)
+	journal   *cloud.Journal // see Open; detached = in-memory only
+	cloudX    float64        // latest cloud-published ratio for Edge (observability)
 	cloudSeen bool
 	obsv      *obs.Observer
 	metrics   nodeMetrics
 
-	conns    map[transport.Conn]struct{}
-	closed   chan struct{}
-	once     sync.Once
+	acc      *transport.Acceptor
 	beatOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // nodeMetrics are the node's registry-backed instruments. Counters are
@@ -230,10 +220,10 @@ func NewNode(cfg Config) (*Node, error) {
 		fold:     cfg.Fold,
 		k:        cfg.Fold.Decisions(),
 		peers:    make(map[int]*peerLink),
+		journal:  cloud.NewJournal(),
 		obsv:     o,
 		metrics:  newNodeMetrics(o, cfg.Edge),
-		conns:    make(map[transport.Conn]struct{}),
-		closed:   make(chan struct{}),
+		acc:      transport.NewAcceptor(),
 	}
 	for _, m := range members {
 		if m == cfg.Edge {
@@ -351,30 +341,10 @@ func (n *Node) Serve(l transport.Listener) {
 			n.mu.Lock()
 			n.lastBeat = time.Now()
 			n.mu.Unlock()
-			n.wg.Add(1)
-			go n.failoverLoop()
+			n.acc.Go(n.failoverLoop)
 		})
 	}
-	transport.AcceptLoop(l, n.closed, func(conn transport.Conn) {
-		n.mu.Lock()
-		select {
-		case <-n.closed:
-			n.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		n.conns[conn] = struct{}{}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go func() {
-			defer n.wg.Done()
-			n.handleConn(conn)
-			n.mu.Lock()
-			delete(n.conns, conn)
-			n.mu.Unlock()
-		}()
-	})
+	n.acc.Serve(l, n.handleConn)
 }
 
 func (n *Node) handleConn(conn transport.Conn) {
@@ -460,7 +430,6 @@ func (n *Node) prunePendingLocked() {
 // quiet TTL first, so a successor elected while it was down can demote it
 // before it escalates anything.
 func (n *Node) failoverLoop() {
-	defer n.wg.Done()
 	interval := n.cfg.FailoverTTL / 3
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -469,7 +438,7 @@ func (n *Node) failoverLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.acc.Done():
 			return
 		case <-ticker.C:
 			n.tickFailover()
@@ -527,16 +496,14 @@ func (n *Node) tickFailover() {
 		// Drain the dead leader's unescalated rounds immediately — the
 		// takeover half of the failover contract. A partitioned cloud fails
 		// the dial fast; the backlog stays for the next K boundary or Flush.
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
+		n.acc.Go(func() {
 			select {
-			case <-n.closed:
+			case <-n.acc.Done():
 				return
 			default:
 			}
 			_ = n.escalate()
-		}()
+		})
 	}
 }
 
@@ -563,12 +530,8 @@ func (n *Node) broadcastBeat(beat transport.HoodBeat) {
 // round's outcome — each member folds the round itself once its own barrier
 // fills.
 func (n *Node) SubmitPeer(census transport.Census) error {
-	if !n.isMember(census.Edge) {
-		return fmt.Errorf("gossip: census from edge %d outside neighborhood %v", census.Edge, n.members)
-	}
-	if len(census.Counts) != n.k {
-		return fmt.Errorf("gossip: census from edge %d has %d counts, lattice has %d decisions",
-			census.Edge, len(census.Counts), n.k)
+	if err := cloud.AdmitCensus(census, n.k, n.isMember); err != nil {
+		return fmt.Errorf("gossip: %w", err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -625,9 +588,8 @@ func (n *Node) expireRound(round int) {
 // the region's next sharing ratio from the local fold. A census for an
 // already-completed round returns the current ratio immediately.
 func (n *Node) LocalRound(round int, counts []int) (float64, error) {
-	if len(counts) != n.k {
-		return 0, fmt.Errorf("gossip: edge %d census has %d counts, lattice has %d decisions",
-			n.cfg.Edge, len(counts), n.k)
+	if err := cloud.AdmitCensus(transport.Census{Edge: n.cfg.Edge, Round: round, Counts: counts}, n.k, n.isMember); err != nil {
+		return 0, fmt.Errorf("gossip: %w", err)
 	}
 	n.mu.Lock()
 	if round <= n.eng.Latest() {
@@ -672,7 +634,7 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 		if rb.Err != nil {
 			return 0, rb.Err
 		}
-	case <-n.closed:
+	case <-n.acc.Done():
 		return 0, ErrClosed
 	}
 
@@ -820,7 +782,7 @@ func (n *Node) escalate() error {
 	n.metrics.escalations.Inc()
 	n.metrics.pendingGauge.Set(float64(len(n.pending)))
 	n.metrics.backlogGauge.Set(float64(len(n.pending)))
-	if n.store != nil {
+	if n.journal.Attached() {
 		if err := n.checkpointLocked(); err != nil {
 			n.metrics.journalErrs.Inc()
 			n.logf("gossip: edge %d: compacting after escalation through round %d: %v", n.cfg.Edge, last, err)
@@ -830,30 +792,21 @@ func (n *Node) escalate() error {
 	return nil
 }
 
-// Close shuts the node down: pending barriers fail, peer links and inbound
-// connections close. It does not Flush; callers wanting the backlog on the
-// cloud call Flush first.
+// Close shuts the node down: the gossip listener stops, pending barriers
+// fail, peer links and inbound connections close. It does not Flush;
+// callers wanting the backlog on the cloud call Flush first.
 func (n *Node) Close() {
-	n.once.Do(func() {
-		close(n.closed)
+	n.acc.Close(func() {
 		n.mu.Lock()
+		defer n.mu.Unlock()
 		for _, a := range n.eng.FailAll(ErrClosed) {
 			a.Barrier.Span.End(obs.A("closed", true))
 		}
-		for conn := range n.conns {
-			conn.Close()
-		}
-		n.conns = make(map[transport.Conn]struct{})
 		for _, pl := range n.peers {
 			pl.close()
 		}
-		if n.store != nil {
-			_ = n.store.Close()
-			n.store = nil
-		}
-		n.mu.Unlock()
+		n.journal.Close()
 	})
-	n.wg.Wait()
 }
 
 // peerLink maintains one lazily-dialed connection to a neighborhood peer,

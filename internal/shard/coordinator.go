@@ -16,9 +16,6 @@ import (
 	"repro/internal/transport/session"
 )
 
-// defaultCompactEvery matches the cloud coordinator's compaction cadence.
-const defaultCompactEvery = 32
-
 // defaultMaxRoundSkew bounds how far ahead of the shard's completed
 // watermark a census may run before Submit rejects it.
 const defaultMaxRoundSkew = 1024
@@ -56,53 +53,37 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	eng        *cloud.Engine
-	forwarding map[int]bool        // rounds mid-forward (barrier frozen)
-	ratios     map[int]float64     // latest adopted ratio per owned region
+	forwarding map[int]bool    // rounds mid-forward (barrier frozen)
+	ratios     map[int]float64 // latest adopted ratio per owned region
 	edgeSess   map[int]*session.Session
 	obsv       *obs.Observer
 	metrics    coordinatorMetrics
-	conns      map[transport.Conn]struct{}
-	closed     chan struct{}
-	once       sync.Once
-	wg         sync.WaitGroup
-
-	// Durability (nil store = in-memory only; see Open).
-	store        *durable.Store
-	compactEvery int
-	sinceCompact int
-	lastRec      *durable.RoundRecord // newest journaled round, for re-forward
-
-	// Membership leases over the owned group, mirroring the cloud's.
-	leases  map[int]*leaseEntry
-	leasing bool
-}
-
-type leaseEntry struct {
-	expiry time.Time
-	timer  *time.Timer
-	live   bool
+	acc        *transport.Acceptor
+	journal    *cloud.Journal       // see Open; detached = in-memory only
+	lastRec    *durable.RoundRecord // newest journaled round, for re-forward
+	leases     *cloud.Leases        // membership leases over the owned group
 }
 
 type coordinatorMetrics struct {
-	rounds          *obs.Counter // shard_rounds_total
-	degraded        *obs.Counter // shard_degraded_rounds_total
-	abandoned       *obs.Counter // shard_abandoned_rounds_total
-	late            *obs.Counter // shard_late_censuses_total
-	duplicates      *obs.Counter // shard_duplicate_censuses_total
-	decodeFailures  *obs.Counter // shard_decode_failures_total
-	forwards        *obs.Counter // shard_forwards_total
-	forwardFailures *obs.Counter // shard_forward_failures_total
-	corrections     *obs.Counter // shard_ratio_corrections_total
-	latestRound     *obs.Gauge   // shard_round_latest
-	regionsOwned    *obs.Gauge   // shard_regions_owned
+	rounds          *obs.Counter   // shard_rounds_total
+	degraded        *obs.Counter   // shard_degraded_rounds_total
+	abandoned       *obs.Counter   // shard_abandoned_rounds_total
+	late            *obs.Counter   // shard_late_censuses_total
+	duplicates      *obs.Counter   // shard_duplicate_censuses_total
+	decodeFailures  *obs.Counter   // shard_decode_failures_total
+	forwards        *obs.Counter   // shard_forwards_total
+	forwardFailures *obs.Counter   // shard_forward_failures_total
+	corrections     *obs.Counter   // shard_ratio_corrections_total
+	latestRound     *obs.Gauge     // shard_round_latest
+	regionsOwned    *obs.Gauge     // shard_regions_owned
 	roundDuration   *obs.Histogram // shard_round_duration_seconds
-	recoveries      *obs.Counter // durable_recoveries_total
-	replayRecords   *obs.Counter // journal_replay_records_total
-	journalErrors   *obs.Counter // durable_journal_errors_total
-	checkpointSize  *obs.Gauge   // checkpoint_bytes
-	leaseRenewals   *obs.Counter // lease_renewals_total
-	leaseEvictions  *obs.Counter // lease_evictions_total
-	leasesLive      *obs.Gauge   // shard_leases_live
+	recoveries      *obs.Counter   // durable_recoveries_total
+	replayRecords   *obs.Counter   // journal_replay_records_total
+	journalErrors   *obs.Counter   // durable_journal_errors_total
+	checkpointSize  *obs.Gauge     // checkpoint_bytes
+	leaseRenewals   *obs.Counter   // lease_renewals_total
+	leaseEvictions  *obs.Counter   // lease_evictions_total
+	leasesLive      *obs.Gauge     // shard_leases_live
 }
 
 func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
@@ -145,19 +126,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	o := obs.New()
 	c := &Coordinator{
-		cfg:          cfg,
-		owned:        make(map[int]bool, len(cfg.Regions)),
-		eng:          cloud.NewEngine(),
-		forwarding:   make(map[int]bool),
-		ratios:       make(map[int]float64, len(cfg.Regions)),
-		edgeSess:     make(map[int]*session.Session),
-		obsv:         o,
-		metrics:      newCoordinatorMetrics(o),
-		conns:        make(map[transport.Conn]struct{}),
-		closed:       make(chan struct{}),
-		compactEvery: defaultCompactEvery,
-		leases:       make(map[int]*leaseEntry),
+		cfg:        cfg,
+		owned:      make(map[int]bool, len(cfg.Regions)),
+		eng:        cloud.NewEngine(),
+		forwarding: make(map[int]bool),
+		ratios:     make(map[int]float64, len(cfg.Regions)),
+		edgeSess:   make(map[int]*session.Session),
+		obsv:       o,
+		metrics:    newCoordinatorMetrics(o),
+		acc:        transport.NewAcceptor(),
+		journal:    cloud.NewJournal(),
 	}
+	c.leases = cloud.NewLeases(&c.mu, c.evictLocked)
 	for _, r := range cfg.Regions {
 		c.owned[r] = true
 	}
@@ -200,14 +180,6 @@ func (c *Coordinator) Regions() []int {
 	return out
 }
 
-// SetCompactEvery tunes how many journaled rounds trigger a snapshot
-// compaction (default 32; 0 or negative disables compaction).
-func (c *Coordinator) SetCompactEvery(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.compactEvery = n
-}
-
 func (c *Coordinator) logf(format string, args ...interface{}) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
@@ -216,53 +188,21 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 
 // Serve accepts downstream connections (edge CloudLinks and batching load
 // generators) until the listener closes. Run in a goroutine.
-func (c *Coordinator) Serve(l transport.Listener) {
-	transport.AcceptLoop(l, c.closed, func(conn transport.Conn) {
-		c.mu.Lock()
-		select {
-		case <-c.closed:
-			c.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		go func() {
-			defer c.wg.Done()
-			c.handleConn(conn)
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
-		}()
-	})
-}
+func (c *Coordinator) Serve(l transport.Listener) { c.acc.Serve(l, c.handleConn) }
 
-// Close shuts the coordinator down: pending barriers fail, connections
-// close, lease timers stop, and the durable store is released.
+// Close shuts the coordinator down: served listeners stop, pending
+// barriers fail, lease timers stop, the durable store is released, and
+// connections close.
 func (c *Coordinator) Close() {
-	c.once.Do(func() {
-		close(c.closed)
+	c.acc.Close(func() {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		for _, a := range c.eng.FailAll(transport.ErrClosed) {
 			a.Barrier.Span.End(obs.A("closed", true))
 		}
-		for _, e := range c.leases {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
-		}
-		for conn := range c.conns {
-			conn.Close()
-		}
-		c.conns = make(map[transport.Conn]struct{})
-		if c.store != nil {
-			_ = c.store.Close()
-		}
-		c.mu.Unlock()
+		c.leases.Stop()
+		c.journal.Close()
 	})
-	c.wg.Wait()
 }
 
 func (c *Coordinator) handleConn(conn transport.Conn) {
@@ -337,17 +277,15 @@ func (c *Coordinator) handleConn(conn transport.Conn) {
 	})
 }
 
-// validate rejects a census outside the shard's group or lattice shape.
+// validate admits a census from the shard's owned group (cloud.AdmitCensus).
 func (c *Coordinator) validate(census transport.Census) error {
-	if !c.owned[census.Edge] {
-		return fmt.Errorf("shard %d: census from region %d outside owned group", c.cfg.ID, census.Edge)
-	}
-	if len(census.Counts) != c.cfg.K {
-		return fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions",
-			cloud.ErrBadCensus, census.Edge, len(census.Counts), c.cfg.K)
+	if err := cloud.AdmitCensus(census, c.cfg.K, c.isOwned); err != nil {
+		return fmt.Errorf("shard %d: %w", c.cfg.ID, err)
 	}
 	return nil
 }
+
+func (c *Coordinator) isOwned(edge int) bool { return c.owned[edge] }
 
 // forward is one completed barrier on its way upstream, built under the
 // lock and executed outside it.
@@ -411,7 +349,7 @@ func (c *Coordinator) Submit(census transport.Census) (float64, error) {
 		x := c.ratios[census.Edge]
 		c.mu.Unlock()
 		return x, nil
-	case <-c.closed:
+	case <-c.acc.Done():
 		return 0, transport.ErrClosed
 	}
 }
@@ -486,7 +424,7 @@ func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (transport.RatioB
 		reply := c.ratioBatchLocked(batch)
 		c.mu.Unlock()
 		return reply, nil
-	case <-c.closed:
+	case <-c.acc.Done():
 		return transport.RatioBatch{}, transport.ErrClosed
 	}
 }
@@ -509,7 +447,7 @@ func (c *Coordinator) insertLocked(census transport.Census) (rb *cloud.Barrier, 
 	if rb.Add(census.Edge, census.Counts) {
 		c.metrics.duplicates.Inc()
 	}
-	if c.quorumMetLocked(rb) {
+	if c.leases.QuorumMet(rb, len(c.cfg.Regions)) {
 		fw = c.beginCompleteLocked(census.Round, rb, rb.Size() < len(c.cfg.Regions))
 	}
 	return rb, false, fw
@@ -543,17 +481,24 @@ func (c *Coordinator) expireRound(round int) {
 // the caller to execute outside the lock. Called with c.mu held.
 func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) *forward {
 	c.forwarding[round] = true
-	fw := &forward{round: round, rb: rb, degraded: degraded}
-	edges := make([]int, 0, rb.Size())
-	for e := range rb.Censuses {
+	fw := &forward{round: round, rb: rb, degraded: degraded, censuses: sortedCensuses(round, rb.Censuses)}
+	c.persistRoundLocked(round, rb, degraded)
+	return fw
+}
+
+// sortedCensuses lists a round's censuses in edge order, the shape of an
+// upstream batch.
+func sortedCensuses(round int, censuses map[int][]int) []transport.Census {
+	edges := make([]int, 0, len(censuses))
+	for e := range censuses {
 		edges = append(edges, e)
 	}
 	sort.Ints(edges)
-	for _, e := range edges {
-		fw.censuses = append(fw.censuses, transport.Census{Edge: e, Round: round, Counts: rb.Censuses[e]})
+	out := make([]transport.Census, len(edges))
+	for i, e := range edges {
+		out[i] = transport.Census{Edge: e, Round: round, Counts: censuses[e]}
 	}
-	c.persistRoundLocked(round, rb, degraded)
-	return fw
+	return out
 }
 
 // finishForward runs one frozen barrier's upstream exchange and resolves
@@ -735,106 +680,40 @@ func (c *Coordinator) dropEdgeSess(sess *session.Session) {
 
 // RenewLease registers or renews an owned edge's membership lease,
 // mirroring the cloud coordinator's quorum semantics within the shard's
-// region group.
+// region group (see cloud.Leases).
 func (c *Coordinator) RenewLease(edgeID int, ttl time.Duration) error {
 	if !c.owned[edgeID] {
 		return fmt.Errorf("shard %d: lease from region %d outside owned group", c.cfg.ID, edgeID)
 	}
-	if ttl <= 0 {
-		return fmt.Errorf("shard %d: lease TTL %v must be positive", c.cfg.ID, ttl)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return transport.ErrClosed
-	default:
+	readmitted, err := c.leases.Renew(edgeID, ttl)
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", c.cfg.ID, err)
 	}
-	c.leasing = true
-	e := c.leases[edgeID]
-	if e == nil {
-		e = &leaseEntry{live: true}
-		c.leases[edgeID] = e
-		id := edgeID
-		e.timer = time.AfterFunc(ttl, func() { c.expireLease(id) })
-	} else {
-		if !e.live {
-			c.logf("shard %d: edge %d re-admitted to quorum", c.cfg.ID, edgeID)
-		}
-		e.live = true
-		e.timer.Reset(ttl)
+	if readmitted {
+		c.logf("shard %d: edge %d re-admitted to quorum", c.cfg.ID, edgeID)
 	}
-	e.expiry = time.Now().Add(ttl)
 	c.metrics.leaseRenewals.Inc()
-	c.metrics.leasesLive.Set(float64(c.liveLeasesLocked()))
+	c.metrics.leasesLive.Set(float64(c.leases.Live()))
 	return nil
 }
 
-// expireLease evicts an edge whose lease lapsed and re-checks pending
-// barriers against the shrunken quorum.
-func (c *Coordinator) expireLease(edgeID int) {
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-		c.mu.Unlock()
-		return
-	default:
-	}
-	e := c.leases[edgeID]
-	if e == nil || !e.live {
-		c.mu.Unlock()
-		return
-	}
-	if remaining := time.Until(e.expiry); remaining > 0 {
-		e.timer.Reset(remaining)
-		c.mu.Unlock()
-		return
-	}
-	e.live = false
+// evictLocked is the shard's lease-eviction hook: the most advanced pending
+// barrier the shrunken quorum satisfies begins its forward under the lock,
+// and the returned func finishes it outside. Called with c.mu held.
+func (c *Coordinator) evictLocked(edgeID int) func() {
 	c.metrics.leaseEvictions.Inc()
-	c.metrics.leasesLive.Set(float64(c.liveLeasesLocked()))
+	c.metrics.leasesLive.Set(float64(c.leases.Live()))
 	c.logf("shard %d: lease of edge %d expired, evicting from quorum", c.cfg.ID, edgeID)
-	var fw *forward
-	if best, rb := c.eng.Best(func(round int, b *cloud.Barrier) bool {
-		return !c.forwarding[round] && c.quorumMetLocked(b)
-	}); best >= 0 {
-		fw = c.beginCompleteLocked(best, rb, rb.Size() < len(c.cfg.Regions))
+	best, rb := c.eng.Best(func(round int, b *cloud.Barrier) bool {
+		return !c.forwarding[round] && c.leases.QuorumMet(b, len(c.cfg.Regions))
+	})
+	if best < 0 {
+		return nil
 	}
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
-}
-
-func (c *Coordinator) liveLeasesLocked() int {
-	n := 0
-	for _, e := range c.leases {
-		if e.live {
-			n++
-		}
-	}
-	return n
-}
-
-// quorumMetLocked mirrors the cloud's barrier quorum within the owned
-// group: every owned region reported, or — once leases are in use — every
-// owned edge holding a live lease reported. Called with c.mu held.
-func (c *Coordinator) quorumMetLocked(rb *cloud.Barrier) bool {
-	if rb.Size() >= len(c.cfg.Regions) {
-		return true
-	}
-	if !c.leasing || rb.Size() == 0 {
-		return false
-	}
-	for id, e := range c.leases {
-		if !e.live {
-			continue
-		}
-		if _, ok := rb.Censuses[id]; !ok {
-			return false
-		}
-	}
-	return true
+	fw := c.beginCompleteLocked(best, rb, rb.Size() < len(c.cfg.Regions))
+	return func() { c.finishForward(fw) }
 }
 
 // shardCheckpoint is the shard's tiny durable snapshot: the forwarded-round
@@ -851,45 +730,29 @@ type shardCheckpoint struct {
 // duplicate (or rewinds) if it had already seen it. Call after Instrument
 // and before Serve.
 func (c *Coordinator) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
-	if c.store != nil {
-		c.mu.Unlock()
-		store.Close()
-		return fmt.Errorf("shard %d: state directory already open (%s)", c.cfg.ID, c.store.Dir())
-	}
-	recovered := false
-	latest := -1
-	snap, ok, err := store.LoadSnapshot()
+	defer c.mu.Unlock()
+	snap, err := c.journal.Open(stateDir)
 	if err != nil {
-		c.mu.Unlock()
-		store.Close()
-		return err
+		return fmt.Errorf("shard %d: %w", c.cfg.ID, err)
 	}
-	if ok {
+	recovered := snap != nil
+	latest := -1
+	if snap != nil {
 		var cp shardCheckpoint
 		if err := json.Unmarshal(snap, &cp); err != nil {
-			c.mu.Unlock()
-			store.Close()
+			c.journal.Close()
 			return fmt.Errorf("shard %d: checkpoint in %s: %w", c.cfg.ID, stateDir, err)
 		}
 		latest = cp.Round
 		c.metrics.checkpointSize.Set(float64(len(snap)))
-		recovered = true
 	}
 	replayed := 0
-	var lastRec *durable.RoundRecord
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
-		if lastRec == nil || rec.Round >= lastRec.Round {
+	var last *durable.RoundRecord
+	err = c.journal.Replay(func(rec durable.RoundRecord) error {
+		if last == nil || rec.Round >= last.Round {
 			r := rec
-			lastRec = &r
+			last = &r
 		}
 		if rec.Round > latest {
 			latest = rec.Round
@@ -898,8 +761,7 @@ func (c *Coordinator) Open(stateDir string) error {
 		return nil
 	})
 	if err != nil {
-		c.mu.Unlock()
-		store.Close()
+		c.journal.Close()
 		return fmt.Errorf("shard %d: journal in %s: %w", c.cfg.ID, stateDir, err)
 	}
 	if replayed > 0 {
@@ -907,66 +769,45 @@ func (c *Coordinator) Open(stateDir string) error {
 		recovered = true
 	}
 	c.eng.SetLatest(latest)
-	c.lastRec = lastRec
-	c.store = store
-	c.sinceCompact = replayed
+	c.lastRec = last
 	if recovered {
 		c.metrics.recoveries.Inc()
 		c.metrics.latestRound.Set(float64(latest))
 		c.logf("shard %d: recovered watermark round %d from %s (%d journal records replayed)",
 			c.cfg.ID, latest, stateDir, replayed)
 	}
-	c.mu.Unlock()
-	if lastRec != nil {
+	if last != nil {
 		// Re-forward the newest batch off the serve path: the crash may have
 		// raced the upstream exchange. Idempotent upstream (duplicate absorb
 		// / lag-window rewind), so re-forwarding an acknowledged batch is
 		// harmless.
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			censuses := make([]transport.Census, 0, len(lastRec.Censuses))
-			edges := make([]int, 0, len(lastRec.Censuses))
-			for e := range lastRec.Censuses {
-				edges = append(edges, e)
-			}
-			sort.Ints(edges)
-			for _, e := range edges {
-				censuses = append(censuses, transport.Census{Edge: e, Round: lastRec.Round, Counts: lastRec.Censuses[e]})
-			}
-			reply, err := c.upstreamReport(lastRec.Round, censuses)
+		c.acc.Go(func() {
+			censuses := sortedCensuses(last.Round, last.Censuses)
+			reply, err := c.upstreamReport(last.Round, censuses)
 			if err != nil {
-				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, lastRec.Round, err)
+				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, last.Round, err)
 				return
 			}
 			c.adoptReply(reply)
-			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, lastRec.Round, len(censuses))
-		}()
+			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, last.Round, len(censuses))
+		})
 	}
 	return nil
 }
 
 // persistRoundLocked journals one frozen barrier's batch, fsynced before
-// the upstream forward, and compacts every compactEvery rounds. Failures
-// are counted and logged but do not fail the round. Called with c.mu held;
-// no-op without an open store.
+// the upstream forward, and compacts every 32 rounds. Failures are counted
+// and logged but do not fail the round. Called with c.mu held; journals
+// nothing without an open store.
 func (c *Coordinator) persistRoundLocked(round int, rb *cloud.Barrier, degraded bool) {
-	if c.store == nil {
-		return
-	}
 	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
-	payload, err := durable.EncodeRound(rec)
-	if err == nil {
-		err = c.store.Append(payload)
-	}
-	if err != nil {
+	if err := c.journal.Append(rec); err != nil {
 		c.metrics.journalErrors.Inc()
 		c.logf("shard %d: journaling round %d: %v", c.cfg.ID, round, err)
 		return
 	}
 	c.lastRec = &rec
-	c.sinceCompact++
-	if c.compactEvery > 0 && c.sinceCompact >= c.compactEvery {
+	if c.journal.Due() {
 		if err := c.checkpointLocked(); err != nil {
 			c.metrics.journalErrors.Inc()
 			c.logf("shard %d: compacting after round %d: %v", c.cfg.ID, round, err)
@@ -982,25 +823,15 @@ func (c *Coordinator) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	var retained [][]byte
+	var retained []durable.RoundRecord
 	if c.lastRec != nil {
-		rec, err := durable.EncodeRound(*c.lastRec)
-		if err != nil {
-			return err
-		}
-		retained = append(retained, rec)
+		retained = append(retained, *c.lastRec)
 	}
-	var n int
-	if retained == nil {
-		n, err = c.store.Compact(cp)
-	} else {
-		n, err = c.store.CompactRetain(cp, retained)
-	}
+	n, err := c.journal.Compact(cp, retained)
 	if err != nil {
 		return err
 	}
 	c.metrics.checkpointSize.Set(float64(n))
-	c.sinceCompact = 0
 	return nil
 }
 
@@ -1021,7 +852,7 @@ func (c *Coordinator) Drain() error {
 	}
 	var err error
 	c.mu.Lock()
-	if c.store != nil {
+	if c.journal.Attached() {
 		err = c.checkpointLocked()
 	}
 	c.mu.Unlock()

@@ -114,3 +114,60 @@ func TestAcceptLoopStopDuringBackoff(t *testing.T) {
 		t.Fatal("AcceptLoop ignored stop during backoff")
 	}
 }
+
+// Acceptor.Close stops its listeners before the owner's teardown runs, so a
+// peer redialing a closing component is refused instead of being accepted
+// and dropped; it then closes live connections and waits for their
+// handlers.
+func TestAcceptorCloseStopsListenersFirst(t *testing.T) {
+	net := NewInprocNetwork()
+	l, err := net.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAcceptor()
+	served := make(chan struct{})
+	received := make(chan struct{}, 1)
+	go func() {
+		defer close(served)
+		a.Serve(l, func(c Conn) {
+			defer c.Close()
+			for {
+				if _, err := c.Recv(); err != nil {
+					return
+				}
+				received <- struct{}{}
+			}
+		})
+	}()
+	client, err := net.Dial("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Send(Message{Kind: KindAck, Body: Ack{}}); err != nil {
+		t.Fatal(err)
+	}
+	<-received // the connection is being served
+
+	var redialErr error
+	a.Close(func() {
+		select {
+		case <-a.Done():
+		default:
+			t.Error("Done still open during shutdown")
+		}
+		_, redialErr = net.Dial("svc")
+	})
+	if redialErr == nil {
+		t.Fatal("redial during shutdown was accepted; the listener was still open")
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after Close")
+	}
+	if _, err := client.Recv(); err == nil {
+		t.Fatal("client connection still open after Close")
+	}
+}

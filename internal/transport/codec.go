@@ -11,7 +11,8 @@ import (
 var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 
 // ErrCodecVersion is returned (wrapped) when version negotiation meets a
-// codec version byte this binary does not implement.
+// peer that sent no version preamble, or a codec version byte this binary
+// does not implement.
 var ErrCodecVersion = errors.New("transport: unknown codec version")
 
 // Codec versions. The dialing side of a TCP connection declares one of
@@ -25,9 +26,9 @@ const (
 	VersionBinary byte = 2
 )
 
-// codecMagic opens a version-negotiation exchange. A legacy (pre-v2) frame
-// starts with the top byte of a 4-byte big-endian length ≤ MaxFrameBytes,
-// which is always 0x00, so the magic can never be mistaken for one.
+// codecMagic opens the [magic, version] preamble every dialer writes ahead
+// of its first frame; an acceptor rejects a connection that does not start
+// with it (ErrCodecVersion).
 const codecMagic byte = 0xCB
 
 // Codec serializes Messages to wire frames and back. Implementations must
@@ -79,8 +80,7 @@ func codecByVersion(v byte) (Codec, bool) {
 }
 
 // jsonCodec frames messages as the JSON envelope {"kind":...,"payload":...}.
-// It is the wire format every peer speaks (version 1) and the one legacy
-// peers send without negotiation.
+// It is the wire format every peer speaks (version 1).
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string  { return "json" }

@@ -375,8 +375,9 @@ func TestTCPCodecNegotiation(t *testing.T) {
 }
 
 // TestTCPLegacyPeerInterop: a peer that predates version negotiation sends
-// length-prefixed JSON frames with no preamble; the acceptor must sniff
-// this, fall back to JSON, and not lose the sniffed byte.
+// length-prefixed JSON frames with no preamble. Every dialer built from
+// this repository writes the preamble, so the acceptor rejects such a peer
+// with ErrCodecVersion instead of guessing its codec.
 func TestTCPLegacyPeerInterop(t *testing.T) {
 	l, err := ListenTCP("127.0.0.1:0", WithCodec(Binary))
 	if err != nil {
@@ -402,45 +403,20 @@ func TestTCPLegacyPeerInterop(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	defer server.Close()
-	m, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := server.Recv(); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("Recv from a preamble-less peer = %v, want ErrCodecVersion", err)
 	}
-	var hello Hello
-	if err := Decode(m, KindHello, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Vehicle != 42 {
-		t.Errorf("vehicle = %d, want 42", hello.Vehicle)
-	}
-	if got := CodecOf(server); got != "json" {
-		t.Errorf("legacy conn codec = %q, want json", got)
-	}
-
-	// The acceptor's replies are plain length-prefixed JSON the legacy peer
-	// can parse.
-	reply, err := Encode(KindAck, Ack{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Send(reply); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(raw, header[:]); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, binary.BigEndian.Uint32(header[:]))
-	if _, err := io.ReadFull(raw, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := JSON.Decode(buf); err != nil {
-		t.Errorf("legacy peer cannot parse reply %q: %v", buf, err)
+	if err := server.Send(Message{Kind: KindAck, Body: Ack{}}); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("Send to a preamble-less peer = %v, want ErrCodecVersion", err)
 	}
 }
 
 // TestTCPRecvHardening drives the acceptor's frame reader with crafted raw
 // byte streams.
 func TestTCPRecvHardening(t *testing.T) {
+	jsonPreamble := func(frames []byte) []byte {
+		return append([]byte{codecMagic, VersionJSON}, frames...)
+	}
 	oversize := func() []byte {
 		var h [4]byte
 		binary.BigEndian.PutUint32(h[:], MaxFrameBytes+1)
@@ -469,10 +445,10 @@ func TestTCPRecvHardening(t *testing.T) {
 		wantEOF bool // truncated-at-boundary closes read as EOF
 		wantErr error
 	}{
-		{"truncated header", []byte{0x00, 0x00}, true, nil},
-		{"oversized frame", oversize, false, ErrFrameTooLarge},
-		{"garbage json payload", garbage, false, nil},
-		{"truncated body", truncatedBody, false, nil},
+		{"truncated header", jsonPreamble([]byte{0x00, 0x00}), true, nil},
+		{"oversized frame", jsonPreamble(oversize), false, ErrFrameTooLarge},
+		{"garbage json payload", jsonPreamble(garbage), false, nil},
+		{"truncated body", jsonPreamble(truncatedBody), false, nil},
 		{"unknown codec version", []byte{codecMagic, 0x7F}, false, ErrCodecVersion},
 		{"unknown binary kind tag", badBinaryFrame, false, nil},
 	}

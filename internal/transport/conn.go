@@ -364,7 +364,6 @@ type tcpConn struct {
 	hs    sync.Once
 	hsErr error
 	codec Codec
-	pre   []byte // bytes sniffed during negotiation, replayed to Recv
 
 	wr     sync.Mutex
 	rd     sync.Mutex
@@ -432,12 +431,8 @@ func (t *tcpConn) handshake() error {
 // codec by writing [magic, version] ahead of its first frame and proceeds
 // immediately (no reply round-trip, so negotiation never deadlocks a
 // half-duplex exchange); the accepting side reads the declaration and
-// adopts the version, failing with ErrCodecVersion on one it does not
-// implement. A first byte that is not the magic marks a legacy peer that
-// sends JSON frames with no preamble: the acceptor falls back to JSON and
-// replays the sniffed byte into the first frame's header (a legacy length
-// prefix for a frame ≤ MaxFrameBytes always starts 0x00, so the magic can
-// never be mistaken for one).
+// adopts the version, failing with ErrCodecVersion on a missing magic or a
+// version it does not implement.
 func (t *tcpConn) negotiate() error {
 	if t.timeout > 0 {
 		deadline := time.Now().Add(t.timeout)
@@ -455,24 +450,16 @@ func (t *tcpConn) negotiate() error {
 		t.codec = pref
 		return nil
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(t.c, first[:]); err != nil {
+	var preamble [2]byte
+	if _, err := io.ReadFull(t.c, preamble[:]); err != nil {
 		return t.headerErr("codec negotiation", err)
 	}
-	if first[0] != codecMagic {
-		// Legacy peer: no declaration, frames are JSON v1 and the sniffed
-		// byte is the first header byte.
-		t.codec = JSON
-		t.pre = []byte{first[0]}
-		return nil
+	if preamble[0] != codecMagic {
+		return fmt.Errorf("%w: peer sent no version preamble (first byte %#02x)", ErrCodecVersion, preamble[0])
 	}
-	var declared [1]byte
-	if _, err := io.ReadFull(t.c, declared[:]); err != nil {
-		return t.headerErr("codec negotiation", err)
-	}
-	codec, ok := codecByVersion(declared[0])
+	codec, ok := codecByVersion(preamble[1])
 	if !ok {
-		return fmt.Errorf("%w: peer declared version %d", ErrCodecVersion, declared[0])
+		return fmt.Errorf("%w: peer declared version %d", ErrCodecVersion, preamble[1])
 	}
 	t.codec = codec
 	return nil
@@ -507,21 +494,6 @@ func (t *tcpConn) headerErr(op string, err error) error {
 		return io.EOF
 	}
 	return t.opErr(op, err)
-}
-
-// readFull fills p, draining bytes sniffed during negotiation first.
-// Callers hold t.rd.
-func (t *tcpConn) readFull(p []byte) error {
-	for len(t.pre) > 0 && len(p) > 0 {
-		p[0] = t.pre[0]
-		t.pre = t.pre[1:]
-		p = p[1:]
-	}
-	if len(p) == 0 {
-		return nil
-	}
-	_, err := io.ReadFull(t.c, p)
-	return err
 }
 
 func (t *tcpConn) Send(m Message) error {
@@ -583,7 +555,7 @@ func (t *tcpConn) Recv() (Message, error) {
 		_ = t.c.SetReadDeadline(time.Now().Add(t.timeout))
 	}
 	var header [4]byte
-	if err := t.readFull(header[:]); err != nil {
+	if _, err := io.ReadFull(t.c, header[:]); err != nil {
 		return Message{}, t.headerErr("reading frame header", err)
 	}
 	size := int(binary.BigEndian.Uint32(header[:]))
@@ -597,7 +569,7 @@ func (t *tcpConn) Recv() (Message, error) {
 		buf = make([]byte, size)
 	}
 	buf = buf[:size]
-	if err := t.readFull(buf); err != nil {
+	if _, err := io.ReadFull(t.c, buf); err != nil {
 		*bufp = buf
 		framePool.Put(bufp)
 		select {
