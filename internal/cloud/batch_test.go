@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/game"
+	"repro/internal/game/gametest"
 	"repro/internal/transport"
 )
 
@@ -70,6 +71,8 @@ func TestSubmitBatchEquivalentToSubmits(t *testing.T) {
 	if srvA.StateHash() != srvB.StateHash() {
 		t.Errorf("state hash %08x (submits) != %08x (batch)", srvA.StateHash(), srvB.StateHash())
 	}
+	gametest.CheckFold(t, "submits", srvA.State())
+	gametest.CheckFold(t, "batch", srvB.State())
 }
 
 // TestSubmitBatchValidation: a malformed batch is rejected whole, before
@@ -181,6 +184,8 @@ func TestSubmitBatchLateRewind(t *testing.T) {
 	if srvB.StateHash() != srvA.StateHash() {
 		t.Errorf("state hash %08x (rewound) != %08x (lossless)", srvB.StateHash(), srvA.StateHash())
 	}
+	gametest.CheckFold(t, "lossless", srvA.State())
+	gametest.CheckFold(t, "rewound", srvB.State())
 	if got := srvCounter(srvB, "consensus_late_censuses_total"); got != 1 {
 		t.Errorf("consensus_late_censuses_total = %d, want 1", got)
 	}

@@ -126,7 +126,7 @@ func newServerMetrics(o *obs.Observer) serverMetrics {
 		future:         o.Counter("consensus_future_censuses_total", "censuses rejected for exceeding the round skew bound"),
 		corrections:    o.Counter("consensus_ratio_corrections_total", "ratio-correction frames published after rewinds"),
 		lagDepth:       o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
-		stateHash:      o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
+		stateHash:      o.Gauge("consensus_state_hash", "CRC-32C witness over the game state bits (bit-identity check)"),
 		digests:        o.Counter("consensus_digests_total", "gossip digests reconciled from neighborhood leaders"),
 		digestRounds:   o.Counter("consensus_digest_rounds_total", "rounds carried by reconciled gossip digests"),
 		digestSkipped:  o.Counter("consensus_digest_rounds_skipped_total", "digest rounds below a neighborhood's escalation watermark, adopted idempotently"),

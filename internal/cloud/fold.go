@@ -1,27 +1,31 @@
 package cloud
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/edge"
 	"repro/internal/game"
 	"repro/internal/policy"
 )
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Fold is the transport-independent consensus fold core: a game state, the
-// FDS controller shaping it, and the CRC-32C witness over the canonical
-// state encoding. It is the piece of the coordinator that turns a round's
-// census set into the next ratio field — extracted from Server so both
-// consensus tiers drive the exact same code: the cloud folds globally, and
-// every gossip node (internal/gossip) folds its neighborhood's rounds
-// locally. Two folds fed the same census sequence hold bit-identical states,
-// which is what makes edge-local rounds reconcilable with the control plane
-// after a partition. The fold does no locking; the owner serializes calls.
+// FDS controller shaping it, and the CRC-32C witness over the state's bits.
+// It is the piece of the coordinator that turns a round's census set into
+// the next ratio field — extracted from Server so both consensus tiers drive
+// the exact same code: the cloud folds globally, and every gossip node
+// (internal/gossip) folds its neighborhood's rounds locally. Two folds fed
+// the same census sequence hold bit-identical states, which is what makes
+// edge-local rounds reconcilable with the control plane after a partition.
+// The fold does no locking; the owner serializes calls, Hash included.
 type Fold struct {
 	fds   *policy.FDS
 	state *game.State
+	wit   []byte // Hash's encoding buffer, reused across calls
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -57,9 +61,8 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 		if total == 0 {
 			continue
 		}
-		shares := edge.Shares(counts)
-		if i >= 0 && i < len(f.state.P) && len(shares) == len(f.state.P[i]) {
-			copy(f.state.P[i], shares)
+		if i >= 0 && i < len(f.state.P) && len(counts) == len(f.state.P[i]) {
+			edge.SharesInto(f.state.P[i], counts)
 		}
 	}
 	if _, err := f.fds.UpdateRatios(f.state); err != nil {
@@ -68,15 +71,27 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 	return nil
 }
 
-// Hash returns a CRC-32C over the canonical JSON encoding of the state.
-// encoding/json round-trips float64 exactly and map-free state marshals
-// deterministically, so two folds hold bit-identical ratio fields if and
-// only if their hashes match.
+// Hash returns a CRC-32C over the state's bits: its shape (len(P), each
+// len(P[i]), len(X)) and then math.Float64bits of every P and X entry, as
+// little-endian uint64s. Two folds hold bit-identical ratio fields if and
+// only if their hashes match (up to CRC collisions). The witness is only
+// compared between runs of the same build; it is never sent or journaled.
 func (f *Fold) Hash() uint32 {
-	b, err := json.Marshal(f.state)
-	if err != nil {
-		return 0
+	st := f.state
+	b := binary.LittleEndian.AppendUint64(f.wit[:0], uint64(len(st.P)))
+	for _, row := range st.P {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(row)))
 	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(st.X)))
+	for _, row := range st.P {
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	for _, v := range st.X {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	f.wit = b
 	return crc32.Checksum(b, castagnoli)
 }
 

@@ -3,7 +3,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/game"
 	"repro/internal/obs"
@@ -21,8 +20,6 @@ var ErrFutureRound = errors.New("cloud: census round beyond skew bound")
 // defaultMaxRoundSkew bounds how far ahead of the latest completed round a
 // census may be before Submit rejects it with ErrFutureRound.
 const defaultMaxRoundSkew = 1024
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // lagEntry is one completed round buffered in the fixed-lag fusion window:
 // the fold inputs (census set, degraded flag) plus a snapshot of the game
@@ -79,11 +76,10 @@ func (s *Server) SetMaxRoundSkew(n int) {
 	s.maxSkew = n
 }
 
-// StateHash returns a CRC-32C over the canonical JSON encoding of the
-// current game state. encoding/json round-trips float64 exactly and map-free
-// state marshals deterministically, so two coordinators hold bit-identical
-// ratio fields if and only if their hashes match. The same value is exported
-// as the consensus_state_hash gauge (exact: every uint32 fits a float64).
+// StateHash returns the fold's CRC-32C witness over the current game
+// state's bits (see Fold.Hash): two coordinators hold bit-identical ratio
+// fields if and only if their hashes match. The same value is exported as
+// the consensus_state_hash gauge (exact: every uint32 fits a float64).
 func (s *Server) StateHash() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/game"
+	"repro/internal/game/gametest"
 	"repro/internal/transport"
 )
 
@@ -74,6 +75,8 @@ func TestFixedLagRewindBitIdentical(t *testing.T) {
 	if srv.StateHash() != base.StateHash() {
 		t.Fatalf("state hash %08x != baseline %08x", srv.StateHash(), base.StateHash())
 	}
+	gametest.CheckFold(t, "baseline", base.State())
+	gametest.CheckFold(t, "rewound", srv.State())
 	reg := srv.Registry()
 	if n := metricValue(t, reg, "consensus_rewinds_total"); n != 1 {
 		t.Errorf("consensus_rewinds_total = %v, want 1", n)
@@ -117,6 +120,7 @@ func TestFixedLagRewindOutOfOrder(t *testing.T) {
 	if !reflect.DeepEqual(srv.State(), base.State()) {
 		t.Fatalf("rewound state differs from baseline:\n got %+v\nwant %+v", srv.State(), base.State())
 	}
+	gametest.CheckFold(t, "rewound", srv.State())
 	reg := srv.Registry()
 	if n := metricValue(t, reg, "consensus_rewinds_total"); n != 2 {
 		t.Errorf("consensus_rewinds_total = %v, want 2", n)

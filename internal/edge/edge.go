@@ -184,19 +184,24 @@ func (d *Distributor) Census() []int {
 // Shares converts a census into a decision distribution; a census with no
 // vehicles yields a uniform distribution.
 func Shares(counts []int) []float64 {
-	out := make([]float64, len(counts))
+	return SharesInto(make([]float64, len(counts)), counts)
+}
+
+// SharesInto is Shares writing into dst, which must have len(counts)
+// entries, and returning it.
+func SharesInto(dst []float64, counts []int) []float64 {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
 	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(counts))
+		for i := range dst {
+			dst[i] = 1 / float64(len(counts))
 		}
-		return out
+		return dst
 	}
 	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
+		dst[i] = float64(c) / float64(total)
 	}
-	return out
+	return dst
 }

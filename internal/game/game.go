@@ -49,6 +49,9 @@ type Model struct {
 	// access[k] lists the decisions whose shared data decision k+1 may
 	// access (l such that P^l is a subset of P^k), precomputed.
 	access [][]int
+	// nbrs[i] is graph.Neighbors(i), copied once: the graph is static and
+	// some implementations build a fresh slice on every call.
+	nbrs [][]int
 }
 
 // NewModel validates and assembles a model. beta must have one non-negative
@@ -72,11 +75,16 @@ func NewModel(p *lattice.Payoffs, g Graph, beta []float64) (*Model, error) {
 			access[k-1] = append(access[k-1], int(d)-1)
 		}
 	}
+	nbrs := make([][]int, g.M())
+	for i := range nbrs {
+		nbrs[i] = append([]int(nil), g.Neighbors(i)...)
+	}
 	return &Model{
 		payoffs: p,
 		graph:   g,
 		beta:    append([]float64(nil), beta...),
 		access:  access,
+		nbrs:    nbrs,
 	}, nil
 }
 
@@ -215,7 +223,7 @@ func (m *Model) Fitness(s *State, i int, out []float64) error {
 	inner := bi * s.X[i] * m.graph.Gamma(i, i)
 	for k := 0; k < m.K(); k++ {
 		q := inner * m.AccessibleValue(k, s.P[i])
-		for _, j := range m.graph.Neighbors(i) {
+		for _, j := range m.nbrs[i] {
 			q += bi * s.X[j] * m.graph.Gamma(j, i) * m.AccessibleValue(k, s.P[j])
 		}
 		out[k] = q - m.payoffs.Cost[k]

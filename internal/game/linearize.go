@@ -58,7 +58,7 @@ func (c LinearCoeffs) GrowthRateAt(x, p float64) float64 {
 // inter-region term), which is independent of x_i.
 func (m *Model) InterRegionGain(s *State, i, k int) float64 {
 	total := 0.0
-	for _, j := range m.graph.Neighbors(i) {
+	for _, j := range m.nbrs[i] {
 		total += s.X[j] * m.graph.Gamma(j, i) * m.AccessibleValue(k, s.P[j])
 	}
 	return m.beta[i] * total
@@ -68,22 +68,34 @@ func (m *Model) InterRegionGain(s *State, i, k int) float64 {
 // region i as affine functions of x_i, freezing all other quantities at the
 // current state.
 func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
+	out := make([]LinearCoeffs, m.K())
+	if err := m.LinearizeInto(out, make([]float64, 2*m.K()), s, i); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// LinearizeInto is Linearize writing into out (K entries) and using scratch
+// (at least 2K entries) for its intermediate sums, so it allocates nothing.
+func (m *Model) LinearizeInto(out []LinearCoeffs, scratch []float64, s *State, i int) error {
 	if i < 0 || i >= m.M() {
-		return nil, fmt.Errorf("game: region %d out of range [0,%d)", i, m.M())
+		return fmt.Errorf("game: region %d out of range [0,%d)", i, m.M())
 	}
 	k := m.K()
+	if len(out) != k || len(scratch) < 2*k {
+		return fmt.Errorf("game: linearize buffers hold %d coefficients and %d scratch, want %d and %d",
+			len(out), len(scratch), k, 2*k)
+	}
 	p := s.P[i]
 	c := m.beta[i] * m.graph.Gamma(i, i)
 
 	// Precompute A_l for all decisions and S1_l.
-	interGain := make([]float64, k)
-	s1 := make([]float64, k)
+	interGain, s1 := scratch[:k], scratch[k:2*k]
 	for l := 0; l < k; l++ {
 		interGain[l] = m.InterRegionGain(s, i, l)
 		s1[l] = m.AccessibleValue(l, p)
 	}
 
-	out := make([]LinearCoeffs, k)
 	for kk := 0; kk < k; kk++ {
 		gk := m.payoffs.Cost[kk]
 
@@ -121,7 +133,7 @@ func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
 			},
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // accessContains reports whether decision l (0-based) can access decision

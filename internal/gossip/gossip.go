@@ -177,7 +177,7 @@ func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
 		latestRound:  r.GaugeVec("gossip_round_latest", "highest completed local round (-1 before the first)", "edge").With(e),
 		pendingGauge: r.GaugeVec("gossip_pending_rounds", "completed local rounds awaiting cloud acknowledgment", "edge").With(e),
 		backlogGauge: r.GaugeVec("gossip_escalation_backlog", "completed rounds retained for digest escalation (with failover every member mirrors the leader's backlog)", "edge").With(e),
-		stateHash:    r.GaugeVec("gossip_state_hash", "CRC-32C of the node's canonical JSON game state", "edge").With(e),
+		stateHash:    r.GaugeVec("gossip_state_hash", "CRC-32C witness over the node's game state bits (bit-identity check)", "edge").With(e),
 	}
 }
 

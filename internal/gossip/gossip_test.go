@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/game"
+	"repro/internal/game/gametest"
 	"repro/internal/lattice"
 	"repro/internal/policy"
 	"repro/internal/transport"
@@ -239,6 +240,19 @@ func TestNeighborhoodsCoverAllRegions(t *testing.T) {
 	}
 }
 
+// checkFolds asserts the fold invariants on the cloud's state and on every
+// node's local fold.
+func checkFolds(t *testing.T, srv *cloud.Server, nodes []*Node) {
+	t.Helper()
+	gametest.CheckFold(t, "cloud", srv.State())
+	for i, n := range nodes {
+		n.mu.Lock()
+		st := n.fold.State().Clone()
+		n.mu.Unlock()
+		gametest.CheckFold(t, fmt.Sprintf("edge %d", i), st)
+	}
+}
+
 // TestLocalRoundsConvergeAndEscalate is the happy path: every node folds the
 // same rounds to bit-identical states, and the leader's digests drive the
 // cloud to the same state.
@@ -296,6 +310,7 @@ func TestPartitionHealBitIdentical(t *testing.T) {
 		if err := nodes[0].Flush(); err != nil {
 			t.Fatalf("final flush: %v", err)
 		}
+		checkFolds(t, srv, nodes)
 		return srv.StateHash(), nodes[0].StateHash()
 	}
 	cloudA, localA := run(false)
@@ -674,6 +689,7 @@ func TestGossipLeaderFailoverGolden(t *testing.T) {
 		if got := srv.Latest(); got != rounds-1 {
 			t.Errorf("cloud latest = %d, want %d", got, rounds-1)
 		}
+		checkFolds(t, srv, nodes)
 		return srv.StateHash(), nodes[0].StateHash()
 	}
 	cloudA, localA := run(false)

@@ -8,7 +8,6 @@ package optimize
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is a closed interval [Lo, Hi]. An interval with Lo > Hi is empty.
@@ -86,21 +85,40 @@ type Set struct {
 }
 
 // NewSet builds a Set from arbitrary intervals (they are cleaned, sorted,
-// and merged).
+// and merged). It allocates once, for the result, and not at all when the
+// result is empty.
 func NewSet(ivs ...Interval) Set {
 	var kept []Interval
 	for _, iv := range ivs {
-		iv = iv.Intersect(Unit())
-		if !iv.Empty() {
+		if iv = iv.Intersect(Unit()); !iv.Empty() {
+			if kept == nil {
+				kept = make([]Interval, 0, len(ivs))
+			}
 			kept = append(kept, iv)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Lo < kept[j].Lo })
-	var merged []Interval
-	for _, iv := range kept {
-		if n := len(merged); n > 0 && iv.Lo <= merged[n-1].Hi+1e-12 {
-			if iv.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = iv.Hi
+	if kept == nil {
+		return Set{}
+	}
+	return mergeInPlace(kept)
+}
+
+// mergeInPlace stably sorts non-empty intervals within [0,1] by Lo and
+// merges overlapping neighbours, reusing kept's backing array for the Set.
+// Sets hold a handful of intervals, so the sort is an insertion sort.
+func mergeInPlace(kept []Interval) Set {
+	for i := 1; i < len(kept); i++ {
+		iv, j := kept[i], i
+		for ; j > 0 && kept[j-1].Lo > iv.Lo; j-- {
+			kept[j] = kept[j-1]
+		}
+		kept[j] = iv
+	}
+	merged := kept[:1]
+	for _, iv := range kept[1:] {
+		if last := &merged[len(merged)-1]; iv.Lo <= last.Hi+1e-12 {
+			if iv.Hi > last.Hi {
+				last.Hi = iv.Hi
 			}
 			continue
 		}
@@ -109,8 +127,11 @@ func NewSet(ivs ...Interval) Set {
 	return Set{ivs: merged}
 }
 
+// fullSet is [0,1]; Sets are immutable, so every FullSet shares it.
+var fullSet = NewSet(Unit())
+
 // FullSet returns the set {[0,1]}.
-func FullSet() Set { return NewSet(Unit()) }
+func FullSet() Set { return fullSet }
 
 // Empty reports whether the set contains no points.
 func (s Set) Empty() bool { return len(s.ivs) == 0 }
@@ -133,18 +154,36 @@ func (s Set) Union(other Set) Set {
 	return NewSet(append(s.Intervals(), other.ivs...)...)
 }
 
-// Intersect returns the intersection of two sets.
+// Intersect returns the intersection of two sets. It allocates once, for
+// the result, and not at all when the result is empty or one side is
+// [0,1] (Sets are immutable, so the other side is returned as is).
 func (s Set) Intersect(other Set) Set {
+	switch {
+	case s.isFull():
+		return other
+	case other.isFull():
+		return s
+	}
 	var out []Interval
 	for _, a := range s.ivs {
 		for _, b := range other.ivs {
 			if c := a.Intersect(b); !c.Empty() {
+				if out == nil {
+					// Two sorted disjoint sets meet in fewer pieces
+					// than they hold intervals together.
+					out = make([]Interval, 0, len(s.ivs)+len(other.ivs))
+				}
 				out = append(out, c)
 			}
 		}
 	}
-	return NewSet(out...)
+	if out == nil {
+		return Set{}
+	}
+	return mergeInPlace(out)
 }
+
+func (s Set) isFull() bool { return len(s.ivs) == 1 && s.ivs[0] == Unit() }
 
 // Nearest returns the point of the set closest to x. ok is false when the
 // set is empty.

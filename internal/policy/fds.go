@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/game"
 	"repro/internal/obs"
@@ -45,6 +44,12 @@ type FDS struct {
 	// Controller state for stall detection, reset by ResetStallState.
 	lastShortfall []float64
 	stallRounds   []int
+
+	// UpdateRatios' reusable scratch, sized on first use.
+	coeffs    []game.LinearCoeffs
+	linear    []float64
+	conds     []cond
+	satisfied []bool
 
 	// Instruments; nil (no-op) until Instrument is called.
 	obsv    *obs.Observer
@@ -160,25 +165,44 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 	}
 }
 
+// cond is one tracked decision's condition set in UpdateRatios.
+type cond struct {
+	set  optimize.Set
+	dist float64 // how far the share is from its target interval
+}
+
+// sortByDistDesc stably sorts conds most-urgent first, in place.
+func sortByDistDesc(conds []cond) {
+	for a := 1; a < len(conds); a++ {
+		c, b := conds[a], a
+		for ; b > 0 && conds[b-1].dist < c.dist; b-- {
+			conds[b] = conds[b-1]
+		}
+		conds[b] = c
+	}
+}
+
 // UpdateRatios performs one FDS round: it recomputes X_i for every region
 // from the current state and moves each x_i toward it by at most Lambda,
 // writing the new ratios into s.X. It returns, per region, whether the
-// current ratio already satisfied its condition set.
+// current ratio already satisfied its condition set; the slice is the
+// controller's and is overwritten by the next call.
 func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 	m := f.model
 	f.updates.Inc()
-	satisfied := make([]bool, m.M())
+	if len(f.satisfied) != m.M() || len(f.coeffs) != m.K() {
+		f.satisfied = make([]bool, m.M())
+		f.coeffs = make([]game.LinearCoeffs, m.K())
+		f.linear = make([]float64, 2*m.K())
+		f.conds = make([]cond, 0, m.K())
+	}
+	satisfied, coeffs := f.satisfied, f.coeffs
 	for i := 0; i < m.M(); i++ {
-		coeffs, err := m.Linearize(s, i)
-		if err != nil {
+		if err := m.LinearizeInto(coeffs, f.linear, s, i); err != nil {
 			return nil, err
 		}
 
-		type cond struct {
-			set  optimize.Set
-			dist float64 // how far the share is from its target interval
-		}
-		conds := make([]cond, 0, m.K())
+		conds := f.conds[:0]
 		for k := 0; k < m.K(); k++ {
 			want := f.field.P[i][k]
 			if want.Lo <= 0 && want.Hi >= 1 {
@@ -210,7 +234,7 @@ func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 		if len(conds) > 0 {
 			// Intersect most-urgent first so best-effort dropping removes
 			// the least-urgent conditions.
-			sort.SliceStable(conds, func(a, b int) bool { return conds[a].dist > conds[b].dist })
+			sortByDistDesc(conds)
 			for _, c := range conds {
 				next := xSet.Intersect(c.set)
 				if next.Empty() {
@@ -265,6 +289,7 @@ func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 			}
 			continue
 		}
+		satisfied[i] = false
 		f.noteProgress(i, worstDist)
 		target, _ := xSet.Nearest(x)
 		s.X[i] = clamp01(x + clampStep(target-x, f.Lambda))
@@ -323,10 +348,16 @@ func growthExtremeSet(c game.LinearCoeffs, p float64, up bool) optimize.Set {
 		hi = !hi
 	}
 	if hi {
-		return optimize.NewSet(optimize.Interval{Lo: 1, Hi: 1})
+		return ratioOne
 	}
-	return optimize.NewSet(optimize.Interval{Lo: 0, Hi: 0})
+	return ratioZero
 }
+
+// The two growth-extreme point sets; Sets are immutable, so they are shared.
+var (
+	ratioOne  = optimize.NewSet(optimize.Interval{Lo: 1, Hi: 1})
+	ratioZero = optimize.NewSet(optimize.Interval{Lo: 0, Hi: 0})
+)
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -479,3 +479,63 @@ func TestSubgradientLowerBound(t *testing.T) {
 		t.Errorf("bound at target = %d, want 0", lb0)
 	}
 }
+
+// UpdateRatios reuses its scratch and its returned slice across calls: a
+// long-lived controller must answer every round exactly as a fresh one
+// holding the same memory does, including regions whose ratio moves in a
+// round after one in which it satisfied its conditions.
+func TestUpdateRatiosReusedScratchMatchesFresh(t *testing.T) {
+	const regions = 3
+	m := testModel(t, regions, 4)
+	target := logitEquilibriumAt(t, m, 0.85)
+	field, err := NewUniformField(regions, target.P[0], 0.03)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := NewFDS(m, field, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := game.NewLogitDynamics(m, 0.15, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := logitEquilibriumAt(t, m, 0.15)
+	s.X[1], s.X[2] = 0.5, 0.95
+	prev := make([]bool, regions)
+	movedAfterSatisfied := 0
+	for round := 0; round < 200; round++ {
+		fresh, err := NewFDS(m, field, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetMemory(long.Memory()); err != nil {
+			t.Fatal(err)
+		}
+		twin := s.Clone()
+		got, err := long.UpdateRatios(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.UpdateRatios(twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != want[i] || math.Float64bits(s.X[i]) != math.Float64bits(twin.X[i]) {
+				t.Fatalf("round %d region %d: reused controller (satisfied=%v, x=%v) != fresh (%v, %v)",
+					round, i, got[i], s.X[i], want[i], twin.X[i])
+			}
+			if prev[i] && !got[i] {
+				movedAfterSatisfied++
+			}
+			prev[i] = got[i]
+		}
+		if err := d.Step(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if movedAfterSatisfied == 0 {
+		t.Fatal("no region went from satisfied to unsatisfied; the test is vacuous")
+	}
+}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"repro/internal/game/gametest"
 )
 
 // TestRunCloudPartitionSpec: the checked-in cloud-partition scenario — six
@@ -127,6 +129,8 @@ func TestGossipPartitionKillGolden(t *testing.T) {
 		t.Errorf("partitioned fold %s != always-connected fold %s",
 			parted.ConsensusStateHash, connected.ConsensusStateHash)
 	}
+	gametest.CheckFold(t, "always-connected", connected.state)
+	gametest.CheckFold(t, "partitioned", parted.state)
 	if parted.GossipPartitionLocalRounds == 0 {
 		t.Error("no local rounds completed during the partition")
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/edge"
+	"repro/internal/game"
 	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -91,6 +92,9 @@ type Verdict struct {
 
 	Checks []Check `json:"checks"`
 	Pass   bool    `json:"pass"`
+
+	// state is the fold's final game state, kept for tests.
+	state *game.State
 }
 
 // WelfareReport aggregates the fleet's realized utility and privacy cost.
@@ -172,6 +176,7 @@ func Run(spec *Spec, opts RunOptions) (*Verdict, error) {
 		FailedReports:      res.failedReports,
 		Welfare:            res.welfare,
 		RoundLatency:       latencyReport(res.latencies),
+		state:              res.state,
 	}
 	v.GossipLocalRounds = res.counter("gossip_local_rounds_total")
 	v.GossipDegradedRounds = res.counter("gossip_degraded_rounds_total")
@@ -296,6 +301,7 @@ func latencyReport(lat []time.Duration) LatencyReport {
 
 type runResult struct {
 	hash             uint32
+	state            *game.State
 	converged        bool
 	convergedRound   int
 	meanX            float64
@@ -1210,11 +1216,11 @@ func (r *runner) drive() (*runResult, error) {
 	// runner keeps going for the fixed-round trajectory).
 	res.hash = r.agg.StateHash()
 	res.converged = res.convergedRound >= 0 || r.agg.Converged()
-	state := r.agg.State()
-	for _, x := range state.X {
+	res.state = r.agg.State()
+	for _, x := range res.state.X {
 		res.meanX += x
 	}
-	res.meanX /= float64(len(state.X))
+	res.meanX /= float64(len(res.state.X))
 	res.failedReports = int(r.failedRep.Load())
 
 	r.teardown()
